@@ -1,7 +1,6 @@
-//! Timing harness for the sweep engine: measures the scheduler A/B
-//! (static stride vs. work stealing), thread scaling, and the trace
-//! cache's effect on a repeated sweep, then writes the numbers to
-//! `BENCH_sweep.json` at the repository root.
+//! Timing harness for the sweep engine: measures thread scaling, the
+//! engine A/Bs, and the trace cache's effect on a repeated sweep, then
+//! writes the numbers to `BENCH_sweep.json` at the repository root.
 //!
 //! ```text
 //! Usage: sweep_bench [--threads N] [--configs S] [--out FILE]
@@ -10,11 +9,7 @@
 //!
 //! The cached scenario mirrors what `paper` does end to end: several
 //! experiments sweep the same (spec, workload, config) triples, so the
-//! second and later sweeps should be near-free. The cold scenarios
-//! isolate the scheduler: work stealing wins when per-config simulation
-//! times are skewed (different cache geometries retire the same
-//! workload at very different rates), which leaves static stride's
-//! slowest-stripe thread as the critical path.
+//! second and later sweeps should be near-free.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -24,7 +19,7 @@ use mltree::{Dataset, DecisionTree, TreeParams};
 use serde::Serialize;
 use sparse::suite::{spmspm_suite, spmspv_suite};
 use sparseadapt::epoch_cache::EpochCache;
-use sparseadapt::exec::{self, Schedule};
+use sparseadapt::exec;
 use sparseadapt::features::{feature_names, FEATURE_COUNT};
 use sparseadapt::runtime::run_live;
 use sparseadapt::schemes::{self, ScheduleController};
@@ -42,9 +37,7 @@ struct ScenarioTiming {
     epochs: usize,
     /// One thread, work stealing (degenerates to serial execution).
     serial_s: f64,
-    /// N threads, static strided assignment (the old scheduler).
-    static_stride_s: f64,
-    /// N threads, work stealing (the new scheduler), cache bypassed.
+    /// N threads, work stealing, cache bypassed.
     work_stealing_s: f64,
     /// N threads, work stealing, but through the frozen pre-SoA
     /// reference simulation path (AoS op vectors, per-event heap churn,
@@ -70,12 +63,10 @@ struct ScenarioTiming {
     epoch_resweep_lockstep_s: f64,
     /// epoch_resweep_scalar_s / epoch_resweep_lockstep_s.
     lockstep_warm_speedup: f64,
-    /// static_stride_s / work_stealing_s: scheduler win, cold.
-    schedule_speedup: f64,
     /// serial_s / work_stealing_s: thread-scaling win.
     thread_speedup: f64,
-    /// static_stride_s / cached_second_s: what a repeated sweep costs
-    /// after this change relative to a cold static-stride sweep.
+    /// work_stealing_s / cached_second_s: what a repeated sweep costs
+    /// relative to a cold one.
     resweep_speedup: f64,
     /// legacy_aos_s / work_stealing_s: the SoA + batched-HBM inner-loop
     /// win on an uncached sweep, identical outputs on both sides.
@@ -110,13 +101,12 @@ struct ScenarioTiming {
 struct Report {
     threads: usize,
     /// `std::thread::available_parallelism` on the measuring host; the
-    /// scheduler/thread speedups are only meaningful when this is > 1.
+    /// thread speedups are only meaningful when this is > 1.
     host_cpus: usize,
     scale: String,
     sampled_configs: usize,
     scenarios: Vec<ScenarioTiming>,
     /// Geometric means over the scenarios.
-    geomean_schedule_speedup: f64,
     geomean_thread_speedup: f64,
     geomean_resweep_speedup: f64,
     geomean_soa_speedup: f64,
@@ -287,9 +277,6 @@ fn bench_scenario(
     let (serial_s, _) = time_min(reps, || {
         SweepData::simulate_uncached(spec, workload, configs, 1)
     });
-    let (static_stride_s, _) = time_min(reps, || {
-        SweepData::simulate_with_schedule(spec, workload, configs, threads, Schedule::StaticStride)
-    });
     let (work_stealing_s, sweep) = time_min(reps, || {
         SweepData::simulate_uncached(spec, workload, configs, threads)
     });
@@ -365,7 +352,6 @@ fn bench_scenario(
         configs: configs.len(),
         epochs: sweep.traces[0].len(),
         serial_s,
-        static_stride_s,
         work_stealing_s,
         legacy_aos_s,
         cached_first_s,
@@ -375,9 +361,8 @@ fn bench_scenario(
         epoch_resweep_scalar_s,
         epoch_resweep_lockstep_s,
         lockstep_warm_speedup: epoch_resweep_scalar_s / epoch_resweep_lockstep_s,
-        schedule_speedup: static_stride_s / work_stealing_s,
         thread_speedup: serial_s / work_stealing_s,
-        resweep_speedup: static_stride_s / cached_second_s,
+        resweep_speedup: work_stealing_s / cached_second_s,
         soa_speedup: legacy_aos_s / work_stealing_s,
         trace_json_bytes,
         trace_bin_bytes,
@@ -456,9 +441,8 @@ fn main() {
         eprintln!("# scenario {} ({:?})", mspec.id, kernel);
         let t = bench_scenario(mspec.id, spec, &wl, &configs, threads, reps);
         eprintln!(
-            "#   serial {:.2}s | static {:.2}s | steal {:.2}s | legacy {:.2}s (soa {:.2}x) | cached 2nd {:.4}s | bin/json {:.3}",
+            "#   serial {:.2}s | steal {:.2}s | legacy {:.2}s (soa {:.2}x) | cached 2nd {:.4}s | bin/json {:.3}",
             t.serial_s,
-            t.static_stride_s,
             t.work_stealing_s,
             t.legacy_aos_s,
             t.soa_speedup,
@@ -483,14 +467,15 @@ fn main() {
 
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut notes = vec![
-        "serial_s is one thread; *_stride/*_stealing are N threads, trace cache bypassed".into(),
+        "serial_s is one thread; work_stealing_s is N threads, trace cache bypassed".into(),
         format!(
             "every timing is the minimum over {reps} repetitions (best-of-N; OS noise only ever \
              adds time to a deterministic computation)"
         ),
         "cached_second_s repeats an identical sweep; every config is a trace-cache hit".into(),
-        "resweep_speedup is the repeated-sweep cost after this change vs a cold static-stride sweep, \
-         the situation `paper all` hits whenever two experiments share a (spec, workload, config) triple"
+        "resweep_speedup is a cold work-stealing sweep over the same sweep repeated from the trace \
+         cache, the situation `paper all` hits whenever two experiments share a (spec, workload, \
+         config) triple"
             .into(),
         "legacy_aos_s runs the frozen pre-SoA inner loop (AoS op vectors, per-event heap \
          traffic, unbatched HBM, allocating prefetch); soa_speedup is the inner-loop win with \
@@ -527,7 +512,7 @@ fn main() {
     ];
     if host_cpus <= 1 {
         notes.push(
-            "host has a single CPU: schedule/thread speedups necessarily measure ~1x here; \
+            "host has a single CPU: thread speedups necessarily measure ~1x here; \
              the wall-clock win on this host comes from the trace cache and the simulator \
              inner-loop optimizations"
                 .into(),
@@ -538,7 +523,6 @@ fn main() {
         host_cpus,
         scale: format!("{:?}", harness.scale),
         sampled_configs: sampled,
-        geomean_schedule_speedup: geomean(scenarios.iter().map(|s| s.schedule_speedup)),
         geomean_thread_speedup: geomean(scenarios.iter().map(|s| s.thread_speedup)),
         geomean_resweep_speedup: geomean(scenarios.iter().map(|s| s.resweep_speedup)),
         geomean_soa_speedup: geomean(scenarios.iter().map(|s| s.soa_speedup)),
@@ -553,9 +537,8 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out, json + "\n").expect("write benchmark report");
     eprintln!(
-        "# geomeans: schedule {:.2}x, threads {:.2}x, resweep {:.2}x, soa {:.2}x, lockstep \
+        "# geomeans: threads {:.2}x, resweep {:.2}x, soa {:.2}x, lockstep \
          {:.2}x (warm {:.2}x), live {:.2}x, bin/json {:.3}, fxhash {:.2}x -> {out}",
-        report.geomean_schedule_speedup,
         report.geomean_thread_speedup,
         report.geomean_resweep_speedup,
         report.geomean_soa_speedup,

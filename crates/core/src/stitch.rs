@@ -106,30 +106,8 @@ impl SweepData {
         configs: &[TransmuterConfig],
         threads: usize,
     ) -> SweepData {
-        Self::simulate_with_schedule(
-            spec,
-            workload,
-            configs,
-            threads,
-            exec::Schedule::WorkStealing,
-        )
-    }
-
-    /// Uncached sweep with an explicit scheduling policy, for the perf
-    /// harness's A/B comparison.
-    ///
-    /// # Panics
-    ///
-    /// As for [`SweepData::simulate`].
-    pub fn simulate_with_schedule(
-        spec: MachineSpec,
-        workload: &Workload,
-        configs: &[TransmuterConfig],
-        threads: usize,
-        schedule: exec::Schedule,
-    ) -> SweepData {
         assert!(!configs.is_empty(), "need at least one configuration");
-        let traces = exec::parallel_map_with(schedule, configs.len(), threads, |ci| {
+        let traces = exec::parallel_map(configs.len(), threads, |ci| {
             Arc::new(simulate_trace(spec, workload, configs[ci]))
         });
         SweepData::assemble(spec, workload, configs, traces)
@@ -173,14 +151,13 @@ impl SweepData {
         threads: usize,
     ) -> SweepData {
         assert!(!configs.is_empty(), "need at least one configuration");
-        let traces =
-            exec::parallel_map_with(exec::Schedule::WorkStealing, configs.len(), threads, |ci| {
-                Arc::new(crate::trace_cache::simulate_trace_reference(
-                    spec,
-                    workload,
-                    configs[ci],
-                ))
-            });
+        let traces = exec::parallel_map(configs.len(), threads, |ci| {
+            Arc::new(crate::trace_cache::simulate_trace_reference(
+                spec,
+                workload,
+                configs[ci],
+            ))
+        });
         SweepData::assemble(spec, workload, configs, traces)
     }
 
@@ -463,15 +440,6 @@ mod tests {
                 assert_eq!(serial.static_metrics(c), par.static_metrics(c));
             }
         }
-        // The old static-stride schedule must agree too.
-        let strided = SweepData::simulate_with_schedule(
-            spec,
-            &wl,
-            &configs,
-            4,
-            crate::exec::Schedule::StaticStride,
-        );
-        assert_eq!(serial.traces, strided.traces);
     }
 
     #[test]

@@ -270,6 +270,25 @@ impl TraceCache {
         trace
     }
 
+    /// The trace for `key` if it is already resident in memory, counted
+    /// as a hit. Never reads disk, never simulates and never waits on
+    /// an in-flight simulation of `key` — an absent or still-filling
+    /// entry returns `None`, which leaves the caller free to take the
+    /// blocking [`TraceCache::get_or_simulate`] path elsewhere.
+    pub fn get_resident(&self, key: &TraceKey) -> Option<Arc<Vec<EpochRecord>>> {
+        let trace = {
+            let mut inner = self.inner.lock().expect("trace cache lock");
+            inner.clock += 1;
+            let clock = inner.clock;
+            let entry = inner.map.get_mut(key)?;
+            let trace = entry.slot.get()?.clone();
+            entry.last_use = clock;
+            trace
+        };
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(trace)
+    }
+
     /// Batch counterpart of [`TraceCache::get_or_simulate`] for the
     /// lockstep sweep path: resolves every key against memory and disk
     /// first, then simulates all still-missing keys in **one** call to
@@ -679,6 +698,27 @@ mod tests {
         });
         assert_eq!(*first, *second, "disk round-trip changed the trace");
         assert_eq!(cache.stats().disk_hits, 1);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn resident_lookup_answers_only_from_memory() {
+        let dir = std::env::temp_dir().join(format!("sa-trace-resident-{}", std::process::id()));
+        let cache = TraceCache::new();
+        cache.set_disk_dir(Some(dir.clone()));
+        let spec = MachineSpec::default().with_epoch_ops(100);
+        let wl = tiny_workload(5);
+        let cfg = TransmuterConfig::baseline();
+        let key = TraceKey::new(&spec, &wl, &cfg);
+        assert!(cache.get_resident(&key).is_none(), "cold key is absent");
+        let simulated = cache.get_or_simulate(key, || simulate_trace(spec, &wl, cfg));
+        let resident = cache.get_resident(&key).expect("resident after a miss");
+        assert!(Arc::ptr_eq(&simulated, &resident));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+        // On disk only: the peek neither reads the file nor counts.
+        cache.clear();
+        assert!(cache.get_resident(&key).is_none(), "disk tier is not read");
+        assert_eq!(cache.stats().disk_hits + cache.stats().hits, 0);
         let _ = std::fs::remove_dir_all(dir);
     }
 

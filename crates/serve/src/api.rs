@@ -336,7 +336,7 @@ pub struct DrainStatusDoc {
     pub draining: bool,
     /// Whether an earlier request had already started the drain.
     pub already_requested: bool,
-    /// The serve engine doing the draining.
+    /// The serve core doing the draining; always `"reactor"`.
     pub engine: String,
 }
 
@@ -617,6 +617,18 @@ impl SimulateRequest {
         let kernel = parse_kernel(&self.kernel)?;
         let matrix = resolve_matrix(&self.matrix)?;
         check_shape(kernel, &matrix)?;
+        let (l1_kind, config) = self.config()?;
+        Ok(ResolvedSim {
+            kernel,
+            matrix,
+            l1_kind,
+            config,
+        })
+    }
+
+    /// The L1 kind and the concrete configuration this request names —
+    /// the part of [`SimulateRequest::resolve`] that needs no matrix.
+    pub fn config(&self) -> Result<(MemKind, TransmuterConfig), String> {
         let l1_kind = self.l1_kind.unwrap_or_default();
         let mut config = match (&self.config, &self.config_name) {
             (Some(c), _) => *c,
@@ -626,12 +638,7 @@ impl SimulateRequest {
         // The compile-time L1 kind lives on the config; keep the two
         // fields coherent rather than letting them silently disagree.
         config.l1_kind = l1_kind;
-        Ok(ResolvedSim {
-            kernel,
-            matrix,
-            l1_kind,
-            config,
-        })
+        Ok((l1_kind, config))
     }
 }
 

@@ -2,9 +2,12 @@
 //!
 //! POST routes (simulation work) go through the bounded pool via
 //! [`crate::queue`]; GET routes (metrics, job polls, health) answer
-//! inline from the connection thread because they only read counters.
+//! straight from the dispatcher thread because they only read counters.
 //! `POST /v1/simulate` additionally coalesces: concurrent identical
 //! requests share one admitted job and receive byte-identical bodies.
+//! One handler, [`simulate_resident`], runs on the reactor thread
+//! itself: it answers a simulate whose trace is already in memory and
+//! declines everything else.
 //!
 //! Every handler is *version-aware*: `/v1/*` and `/v2/*` both land
 //! here, carrying an [`ApiVersion`]. Handlers compute one typed payload
@@ -32,9 +35,9 @@ use crate::api::{
     SweepRequest, SweepResult, TopologyAck, TopologyDoc, UploadMatrixRequest, UploadMatrixResponse,
 };
 use crate::http::Response;
-use crate::metrics::{QueueGauges, ReactorSnapshot};
+use crate::metrics::QueueGauges;
 use crate::queue::{self, AdmitError};
-use crate::server::AppState;
+use crate::server::{AppState, ENGINE};
 
 /// The maximum `sampled` a sweep request may ask for — bounds one job's
 /// memory and wall time regardless of what the client sends.
@@ -86,15 +89,11 @@ pub fn metrics(state: &AppState) -> Response {
         queue_cap: state.pool.queue_cap(),
         workers: state.pool.workers(),
     };
-    let reactor = match &state.reactor {
-        Some(stats) => stats.snapshot(state.engine.as_str()),
-        None => ReactorSnapshot::threaded(),
-    };
     let mut snap = state.metrics.snapshot(
         gauges,
         TraceCache::global().stats(),
         EpochCache::global().stats(),
-        reactor,
+        state.reactor.snapshot(),
     );
     snap.topology_epoch = state.topology_epoch();
     Response::json(
@@ -112,7 +111,7 @@ pub fn admin_method_not_allowed() -> Response {
     Response::json(405, ApiVersion::V2.err_body(&err))
 }
 
-/// `POST /v2/admin/drain`: ask the serve engine to drain gracefully.
+/// `POST /v2/admin/drain`: ask the reactor to drain gracefully.
 /// Returns immediately; the daemon stops accepting, finishes in-flight
 /// work, closes idle connections, and (when run via the binary) exits 0
 /// once the drain completes. Idempotent — repeated calls report the
@@ -123,7 +122,7 @@ pub fn drain(state: &AppState, version: ApiVersion) -> Response {
     let doc = DrainStatusDoc {
         draining: true,
         already_requested: already,
-        engine: state.engine.as_str().to_string(),
+        engine: ENGINE.to_string(),
     };
     finish(
         version,
@@ -273,6 +272,39 @@ pub fn simulate(state: &Arc<AppState>, body: &[u8], version: ApiVersion) -> Resp
         state.metrics.record_coalesced();
     }
     finish(version, status, &inner)
+}
+
+/// `POST /v{1,2}/simulate` answered on the reactor thread, without the
+/// pool: only when the workload is memoized and its trace is resident
+/// in memory, so the answer costs two map lookups and a render and can
+/// never block the loop. Any other request — unparseable, naming an
+/// unknown workload, or whose trace is on disk, in flight or not
+/// simulated yet — returns `None` and goes to [`simulate`], which also
+/// renders every error.
+pub fn simulate_resident(state: &AppState, body: &[u8], version: ApiVersion) -> Option<Response> {
+    let started = Instant::now();
+    let req: SimulateRequest = parse_body(body, version, SimulateRequest::FIELDS).ok()?;
+    let kernel = parse_kernel(&req.kernel).ok()?;
+    let (l1_kind, config) = req.config().ok()?;
+    // A memo hit means this exact (kernel, canonical matrix id, L1 kind)
+    // resolved and built before, so resolving again could not fail.
+    let workload = state.memoized_workload_fp(kernel, &req.matrix, l1_kind)?;
+    let key = TraceKey {
+        spec: kernel.spec(state.harness.scale).fingerprint(),
+        workload,
+        config: config.fingerprint(),
+    };
+    let trace = TraceCache::global().get_resident(&key)?;
+    let response = SimulateResponse {
+        kernel: kernel_name(kernel).to_string(),
+        matrix: req.matrix,
+        config,
+        summary: summarize_trace(&trace),
+        cached: true,
+        sim_ms: started.elapsed().as_secs_f64() * 1e3,
+    };
+    let inner = serde_json::to_string(&response).expect("simulate response serializes");
+    Some(finish(version, 200, &inner))
 }
 
 /// Executes one resolved simulation on a pool worker.

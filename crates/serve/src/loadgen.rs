@@ -70,10 +70,6 @@ pub struct LoadgenConfig {
     pub open_duration_s: f64,
     /// Shrink every phase for CI smoke runs.
     pub quick: bool,
-    /// A baseline report (typically a `--threaded` run) embedded
-    /// verbatim into this report's `threaded_baseline` field, so one
-    /// `BENCH_serve.json` carries both engines side by side.
-    pub embed_baseline: Option<PathBuf>,
 }
 
 impl Default for LoadgenConfig {
@@ -92,7 +88,6 @@ impl Default for LoadgenConfig {
             open_rps: 500.0,
             open_duration_s: 10.0,
             quick: false,
-            embed_baseline: None,
         }
     }
 }
@@ -179,8 +174,8 @@ pub struct OpenLoopStats {
 pub struct Report {
     /// Daemon address the run hit.
     pub addr: String,
-    /// Serve engine the daemon reported (`reactor` / `threaded`;
-    /// `unknown` when `/metrics` could not be scraped).
+    /// Serve engine the daemon reported (`reactor`, or `unknown` when
+    /// `/metrics` could not be scraped).
     pub engine: String,
     /// Warm-phase connections.
     pub concurrency: usize,
@@ -207,8 +202,6 @@ pub struct Report {
     pub server_coalesced_total: u64,
     /// Open-loop phase figures (`--open-loop` runs only).
     pub open_loop: Option<OpenLoopStats>,
-    /// An embedded baseline report (`--embed-baseline`), verbatim.
-    pub threaded_baseline: Option<Value>,
 }
 
 /// One prepared request: method, target, body.
@@ -493,25 +486,6 @@ fn scrape_cache_stats(addr: &str) -> (f64, u64, String) {
     (hit_ratio, coalesced, engine)
 }
 
-/// Parses `--embed-baseline FILE` into a JSON value for verbatim
-/// embedding; `None` (and a warning on stderr) when unreadable.
-fn load_embedded_baseline(path: &PathBuf) -> Option<Value> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("warning: embed-baseline {}: {e}", path.display());
-            return None;
-        }
-    };
-    match serde_json::parse_value_str(&text) {
-        Ok(v) => Some(v),
-        Err(e) => {
-            eprintln!("warning: embed-baseline {}: {e}", path.display());
-            None
-        }
-    }
-}
-
 /// Runs the configured load: recorded-trace replay when `replay` is
 /// set, otherwise the cold pass followed by the warm phase.
 ///
@@ -599,7 +573,6 @@ fn run_replay(cfg: &LoadgenConfig, path: &PathBuf) -> Result<Report, String> {
         server_hit_ratio,
         server_coalesced_total,
         open_loop: None,
-        threaded_baseline: cfg.embed_baseline.as_ref().and_then(load_embedded_baseline),
     })
 }
 
@@ -712,7 +685,6 @@ fn run_mix(cfg: &LoadgenConfig) -> Result<Report, String> {
         server_hit_ratio,
         server_coalesced_total,
         open_loop,
-        threaded_baseline: cfg.embed_baseline.as_ref().and_then(load_embedded_baseline),
     })
 }
 
@@ -1295,7 +1267,6 @@ fn run_epoch_arm(
         queue_cap: 64,
         cache_dir: None,
         cache_mem_cap: None,
-        engine: crate::Engine::Reactor,
         epoch_cache: true,
         epoch_peer_fetch: peer_fetch,
         epoch_fetch_budget_ms: cfg.budget_ms.max(1),
@@ -1581,7 +1552,7 @@ mod tests {
         };
         Report {
             addr: "127.0.0.1:0".to_string(),
-            engine: "threaded".to_string(),
+            engine: "reactor".to_string(),
             concurrency: 1,
             concurrent_conns: 0,
             target_rps: 0.0,
@@ -1593,7 +1564,6 @@ mod tests {
             server_hit_ratio: 0.0,
             server_coalesced_total: 0,
             open_loop: None,
-            threaded_baseline: None,
         }
     }
 }

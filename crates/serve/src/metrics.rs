@@ -167,8 +167,7 @@ pub struct MetricsSnapshot {
     /// disk, and the cluster fetch/push tier). All zero when the epoch
     /// cache is off.
     pub epoch_cache: EpochCacheSnapshot,
-    /// Connection-level I/O gauges from the serve engine. Under the
-    /// threaded engine every counter is zero and `engine` says so.
+    /// Connection-level I/O gauges from the reactor.
     pub reactor: ReactorSnapshot,
     /// The cluster-topology epoch this member holds (the last topology
     /// a router pushed), or 0 for a standalone daemon. Merging takes
@@ -182,8 +181,7 @@ pub struct MetricsSnapshot {
 /// gauges sampled at render.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReactorSnapshot {
-    /// Which serve engine produced these numbers (`"reactor"`,
-    /// `"threaded"`, or `"mixed"` after a cross-engine merge).
+    /// The serve core that produced these numbers; always `"reactor"`.
     pub engine: String,
     /// Open connections (any state).
     pub conns_open: u64,
@@ -207,25 +205,6 @@ pub struct ReactorSnapshot {
     pub shed_503_total: u64,
     /// Idle keep-alive connections reaped by the timer wheel.
     pub idle_closed_total: u64,
-}
-
-impl ReactorSnapshot {
-    /// The all-zero document the threaded engine reports.
-    pub fn threaded() -> ReactorSnapshot {
-        ReactorSnapshot {
-            engine: "threaded".to_string(),
-            conns_open: 0,
-            conns_active: 0,
-            conns_idle: 0,
-            accepted_total: 0,
-            epoll_wakeups_total: 0,
-            partial_reads_total: 0,
-            partial_writes_total: 0,
-            accept_overflows_total: 0,
-            shed_503_total: 0,
-            idle_closed_total: 0,
-        }
-    }
 }
 
 /// JSON shape of the trace-cache stats (mirrors
@@ -436,9 +415,6 @@ pub fn merge_snapshots(snaps: &[MetricsSnapshot]) -> Option<MetricsSnapshot> {
         e.remote_entries += s.epoch_cache.remote_entries;
         e.remote_resident_bytes += s.epoch_cache.remote_resident_bytes;
         let r = &mut merged.reactor;
-        if r.engine != s.reactor.engine {
-            r.engine = "mixed".to_string();
-        }
         r.conns_open += s.reactor.conns_open;
         r.conns_active += s.reactor.conns_active;
         r.conns_idle += s.reactor.conns_idle;
@@ -550,6 +526,7 @@ impl ServerMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::ReactorStats;
 
     fn gauges() -> QueueGauges {
         QueueGauges {
@@ -598,7 +575,7 @@ mod tests {
             gauges(),
             CacheStats::default(),
             EpochCacheStats::default(),
-            ReactorSnapshot::threaded(),
+            ReactorStats::new().snapshot(),
         );
         assert_eq!(s.requests_total, 4);
         assert_eq!(s.rejected_429_total, 1);
@@ -627,9 +604,8 @@ mod tests {
             gauges(),
             CacheStats::default(),
             EpochCacheStats::default(),
-            ReactorSnapshot::threaded(),
+            ReactorStats::new().snapshot(),
         );
-        snap_a.reactor.engine = "reactor".to_string();
         snap_a.reactor.conns_open = 100;
         snap_a.reactor.shed_503_total = 3;
         snap_a.topology_epoch = 3;
@@ -637,9 +613,8 @@ mod tests {
             gauges(),
             CacheStats::default(),
             EpochCacheStats::default(),
-            ReactorSnapshot::threaded(),
+            ReactorStats::new().snapshot(),
         );
-        snap_b.reactor.engine = "reactor".to_string();
         snap_b.reactor.conns_open = 50;
         snap_b.reactor.epoll_wakeups_total = 7;
         snap_b.topology_epoch = 5;
@@ -672,21 +647,6 @@ mod tests {
     #[test]
     fn merging_nothing_yields_none() {
         assert!(merge_snapshots(&[]).is_none());
-    }
-
-    #[test]
-    fn cross_engine_merge_reports_mixed() {
-        let m = ServerMetrics::new();
-        let threaded = m.snapshot(
-            gauges(),
-            CacheStats::default(),
-            EpochCacheStats::default(),
-            ReactorSnapshot::threaded(),
-        );
-        let mut reactor = threaded.clone();
-        reactor.reactor.engine = "reactor".to_string();
-        let merged = merge_snapshots(&[threaded, reactor]).expect("non-empty");
-        assert_eq!(merged.reactor.engine, "mixed");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! [`sparseadapt::exec::Pool`], and a full queue becomes an HTTP 429
 //! with a `Retry-After` hint instead of unbounded memory growth.
 //!
-//! Connection threads are cheap (one blocked thread per client); the
-//! *simulation* concurrency is what must be bounded, because each
+//! Dispatcher threads are cheap (one blocked thread per in-flight
+//! request); the *simulation* concurrency is what must be bounded, because each
 //! simulate/sweep job can itself fan out over the sweep pool and pin
 //! CPUs for seconds. The pool's queue is the only buffer between the
 //! two, so its capacity is the daemon's entire overload policy.
@@ -22,7 +22,7 @@ pub enum AdmitError {
     Crashed,
 }
 
-/// Runs `f` on the pool and blocks the calling connection thread until
+/// Runs `f` on the pool and blocks the calling dispatcher thread until
 /// its result comes back.
 ///
 /// # Errors

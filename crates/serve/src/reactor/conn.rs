@@ -2,7 +2,8 @@
 //! them.
 //!
 //! Every socket the reactor multiplexes is one [`Conn`]: an explicit
-//! `Reading → Dispatched → Writing → (KeepAlive | Closing)` machine.
+//! `Reading → Dispatched → Writing → (KeepAlive | Closing)` machine
+//! (a request answered inline on the loop thread skips `Dispatched`).
 //! The epoll token for a connection packs `(generation << 32) | slot`,
 //! so a stale event or completion for a slot that has since been
 //! recycled fails the generation check instead of touching the wrong

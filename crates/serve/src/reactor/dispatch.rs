@@ -1,13 +1,16 @@
 //! Dispatcher pool and completion plumbing between the reactor thread
 //! and route handlers.
 //!
-//! The reactor never runs handlers inline — a handler that blocks on
-//! the simulation pool would stall every multiplexed socket. Parsed
-//! requests are pushed onto a bounded queue consumed by a small pool of
-//! dispatcher threads; each runs the route function, renders the
-//! response to bytes, and pushes a [`Completion`] onto the shared
-//! completion queue, signalling the reactor through an eventfd so the
-//! `epoll_wait` call wakes immediately.
+//! The reactor runs no blocking handler on its own thread — one that
+//! parks on the simulation pool would stall every multiplexed socket.
+//! The single exception is the service's inline handler, which answers
+//! only simulate requests whose trace is already resident in memory
+//! (no disk, no pool, no lock held across I/O) and declines the rest.
+//! Every other parsed request is pushed onto a bounded queue consumed
+//! by a small pool of dispatcher threads; each runs the route function,
+//! renders the response to bytes, and pushes a [`Completion`] onto the
+//! shared completion queue, signalling the reactor through an eventfd
+//! so the `epoll_wait` call wakes immediately.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};

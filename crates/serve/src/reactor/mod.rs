@@ -1,15 +1,18 @@
 //! Readiness-driven serve core: one epoll loop multiplexing thousands
 //! of keep-alive sockets onto a small dispatcher pool.
 //!
-//! The threaded engine spends a thread per connection, which caps
-//! fan-out at whatever the OS will schedule. This module replaces the
-//! accept path with a single reactor thread running
-//! `epoll_wait` (via the vendored [`sysio`] shim — no external crates):
-//! every socket is nonblocking, every connection is an explicit state
-//! machine (`Reading → Dispatched → Writing → keep-alive/close`), and
-//! blocking work (route handlers, which park on the simulation pool)
-//! happens on dispatcher threads that hand rendered response bytes back
-//! through a completion queue + eventfd wakeup.
+//! A thread per connection would cap fan-out at whatever the OS will
+//! schedule, so a single reactor thread runs `epoll_wait` (via the
+//! vendored [`sysio`] shim — no external crates): every socket is
+//! nonblocking, and every connection is an explicit state machine
+//! (`Reading → Dispatched → Writing → keep-alive/close`). Blocking work
+//! (route handlers, which park on the simulation pool) happens on
+//! dispatcher threads that hand rendered response bytes back through a
+//! completion queue + eventfd wakeup. The one exception is the
+//! service's inline handler ([`Service::inline`]): requests it can
+//! answer without blocking — memory-resident simulate hits — are
+//! answered on the loop thread and skip the dispatcher round trip
+//! (`Reading → Writing`).
 //!
 //! Backpressure and robustness rules:
 //! - **Connection cap**: accepts beyond `max_conns` get an immediate
@@ -24,6 +27,13 @@
 //! - **Read hygiene**: sockets stay readable while a request is in
 //!   flight (pipelined bytes buffer in the parser), but interest drops
 //!   once a peer has buffered more than a full request's worth.
+//! - **Pipelining**: buffered requests answered inline are served by a
+//!   loop in `advance_parse`, never by recursion, so a peer that
+//!   pipelines thousands of requests in one write cannot grow the loop
+//!   thread's stack.
+//! - **Inline panics** are caught on the loop thread; the request then
+//!   takes the dispatched path, whose pool turns a repeat panic into a
+//!   500.
 
 mod conn;
 mod dispatch;
@@ -31,6 +41,7 @@ mod timer;
 
 use std::io::{self, Read, Write};
 use std::net::TcpListener;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -40,10 +51,10 @@ use sysio::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 use crate::api::{code, ApiError};
 use crate::http::{
-    response_bytes, Parsed, RequestParser, Response, MAX_BODY_BYTES, MAX_HEAD_BYTES,
+    response_bytes, Parsed, Request, RequestParser, Response, MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
 use crate::metrics::ReactorSnapshot;
-use crate::server::{DrainControl, RouteFn};
+use crate::server::{DrainControl, InlineFn, RouteFn, ENGINE};
 
 use conn::{token, untoken, Conn, ConnState, Slab};
 use dispatch::{CompletionQueue, Dispatcher, Job};
@@ -73,6 +84,15 @@ pub(crate) struct ReactorConfig {
     pub dispatch_cap: usize,
 }
 
+/// What the reactor serves: every request goes to `route` on a
+/// dispatcher thread unless `inline` answers it first on the loop.
+pub(crate) struct Service {
+    /// The full, possibly blocking, route table.
+    pub route: RouteFn,
+    /// The non-blocking subset answered on the loop thread, if any.
+    pub inline: Option<InlineFn>,
+}
+
 /// Live reactor counters, exported through `/metrics`.
 #[derive(Debug, Default)]
 pub struct ReactorStats {
@@ -94,11 +114,11 @@ impl ReactorStats {
     }
 
     /// Point-in-time snapshot for the metrics endpoint.
-    pub fn snapshot(&self, engine: &str) -> ReactorSnapshot {
+    pub fn snapshot(&self) -> ReactorSnapshot {
         let open = self.conns_open.load(Ordering::Relaxed);
         let active = self.conns_active.load(Ordering::Relaxed);
         ReactorSnapshot {
-            engine: engine.to_string(),
+            engine: ENGINE.to_string(),
             conns_open: open,
             conns_active: active,
             conns_idle: open.saturating_sub(active),
@@ -118,7 +138,7 @@ impl ReactorStats {
 /// completion alongside the reactor's own connection/dispatcher state.
 pub(crate) fn spawn(
     listener: TcpListener,
-    route: RouteFn,
+    service: Service,
     stop: Arc<AtomicBool>,
     drain: Arc<DrainControl>,
     drain_idle: Arc<dyn Fn() -> bool + Send + Sync>,
@@ -133,7 +153,7 @@ pub(crate) fn spawn(
     let dispatcher = Dispatcher::spawn(
         cfg.dispatchers,
         cfg.dispatch_cap,
-        route,
+        service.route,
         Arc::clone(&completions),
     );
     let mut reactor = Reactor {
@@ -142,6 +162,7 @@ pub(crate) fn spawn(
         slab: Slab::default(),
         wheel: TimerWheel::new(Instant::now()),
         dispatcher: Some(dispatcher),
+        inline: service.inline,
         completions,
         stop,
         drain,
@@ -183,13 +204,15 @@ struct Reactor {
     slab: Slab,
     wheel: TimerWheel,
     dispatcher: Option<Dispatcher>,
+    inline: Option<InlineFn>,
     completions: Arc<CompletionQueue>,
     stop: Arc<AtomicBool>,
     drain: Arc<DrainControl>,
     drain_idle: Arc<dyn Fn() -> bool + Send + Sync>,
     stats: Arc<ReactorStats>,
     cfg: ReactorConfig,
-    /// Connections in `Dispatched` or `Writing` state.
+    /// Connections not in `Reading` state (a request in flight or a
+    /// response being written).
     active: usize,
     draining: bool,
 }
@@ -308,6 +331,9 @@ impl Reactor {
         }
         if events & (EPOLLIN | EPOLLRDHUP) != 0 {
             self.do_read(slot);
+        } else {
+            // A flushed response may have unblocked pipelined requests.
+            self.advance_parse(slot);
         }
     }
 
@@ -351,43 +377,65 @@ impl Reactor {
         self.advance_parse(slot);
     }
 
-    /// Peels the next request if the connection is idle in `Reading`.
+    /// Serves the requests buffered on an idle (`Reading`) connection:
+    /// each one answered inline and flushed at once returns the
+    /// connection to `Reading`, and the loop takes the next. It stops at
+    /// an incomplete request, a dispatch, a response still flushing, or
+    /// a close.
     fn advance_parse(&mut self, slot: u32) {
-        let Some(conn) = self.slab.get_mut_unchecked(slot) else {
-            return;
-        };
-        if conn.state != ConnState::Reading {
-            // A request is already in flight; new bytes stay buffered
-            // (pipelining) until its response flushes.
-            self.update_interest(slot);
-            return;
-        }
-        if conn.parser.buffered() > 0 {
-            match conn.parser.next_request() {
+        loop {
+            let Some(conn) = self.slab.get_mut_unchecked(slot) else {
+                return;
+            };
+            // Not `Reading`: a request is already in flight, and new
+            // bytes stay buffered (pipelining) until its response
+            // flushes.
+            if conn.state != ConnState::Reading || conn.parser.buffered() == 0 {
+                break;
+            }
+            let alive = match conn.parser.next_request() {
                 Parsed::Incomplete => {
                     self.stats
                         .partial_reads_total
                         .fetch_add(1, Ordering::Relaxed);
+                    break;
                 }
                 Parsed::Request(req) => {
-                    self.dispatch(slot, *req);
+                    // Draining connections answer with `connection:
+                    // close` so well-behaved clients stop reusing them.
+                    let keep_alive = req.keep_alive() && !self.drain.requested();
+                    match self.answer_inline(&req) {
+                        Some(resp) => {
+                            self.queue_write(slot, response_bytes(&resp, keep_alive), !keep_alive)
+                        }
+                        None => {
+                            self.dispatch(slot, *req, keep_alive);
+                            true
+                        }
+                    }
                 }
                 Parsed::Malformed(resp) => {
-                    let bytes = response_bytes(&resp, false);
-                    self.queue_write(slot, bytes, true);
+                    self.queue_write(slot, response_bytes(&resp, false), true)
                 }
+            };
+            if !alive {
+                return;
             }
         }
         self.update_interest(slot);
     }
 
-    fn dispatch(&mut self, slot: u32, req: crate::http::Request) {
-        let keep_alive = req.keep_alive() && !self.drain.requested();
-        let Some(conn) = self.slab.get_mut_unchecked(slot) else {
-            return;
-        };
-        conn.state = ConnState::Dispatched;
-        self.active += 1;
+    /// The service's inline answer to `req`, if it has one. A panic in
+    /// the inline handler is contained here and reads as "no inline
+    /// answer", so the request falls back to the dispatched path.
+    fn answer_inline(&self, req: &Request) -> Option<Response> {
+        let inline = self.inline.as_ref()?;
+        std::panic::catch_unwind(AssertUnwindSafe(|| inline(req)))
+            .ok()
+            .flatten()
+    }
+
+    fn dispatch(&mut self, slot: u32, req: Request, keep_alive: bool) {
         let gen = current_gen(&self.slab, slot);
         let job = Job {
             slot,
@@ -398,9 +446,13 @@ impl Reactor {
         let dispatcher = self.dispatcher.as_ref().expect("dispatcher alive");
         if dispatcher.try_submit(job).is_err() {
             // Queue full: shed with 503 instead of blocking the loop.
-            self.active -= 1;
             self.stats.shed_503_total.fetch_add(1, Ordering::Relaxed);
             self.queue_write(slot, shed_bytes("dispatch queue full"), true);
+            return;
+        }
+        if let Some(conn) = self.slab.get_mut_unchecked(slot) {
+            conn.state = ConnState::Dispatched;
+            self.active += 1;
         }
     }
 
@@ -408,16 +460,20 @@ impl Reactor {
 
     /// Installs response bytes on a connection and attempts an
     /// immediate flush (the fast path: most responses fit the socket
-    /// buffer and never arm `EPOLLOUT`).
-    fn queue_write(&mut self, slot: u32, bytes: Vec<u8>, close_after: bool) {
+    /// buffer and never arm `EPOLLOUT`). Returns `false` if the
+    /// connection was closed.
+    fn queue_write(&mut self, slot: u32, bytes: Vec<u8>, close_after: bool) -> bool {
         let Some(conn) = self.slab.get_mut_unchecked(slot) else {
-            return;
+            return false;
         };
+        if conn.state == ConnState::Reading {
+            self.active += 1;
+        }
         conn.out = bytes;
         conn.out_pos = 0;
         conn.close_after_write = close_after;
         conn.state = ConnState::Writing;
-        self.continue_write(slot);
+        self.continue_write(slot)
     }
 
     /// Flushes as much pending output as the socket accepts. Returns
@@ -459,8 +515,9 @@ impl Reactor {
         }
     }
 
-    /// A response fully flushed: close, or return to keep-alive and
-    /// immediately try any pipelined request already buffered.
+    /// A response fully flushed: close, or return to keep-alive. The
+    /// caller resumes parsing ([`Reactor::advance_parse`]) — calling it
+    /// from here would recurse once per pipelined inline answer.
     fn finish_write(&mut self, slot: u32) -> bool {
         let draining = self.drain.requested();
         let idle_timeout = self.cfg.idle_timeout;
@@ -474,10 +531,10 @@ impl Reactor {
         conn.out = Vec::new();
         conn.out_pos = 0;
         conn.state = ConnState::Reading;
+        self.active -= 1;
         let now = Instant::now();
         conn.idle_deadline = now + idle_timeout;
         self.wheel.schedule(slot, now, conn.idle_deadline);
-        self.advance_parse(slot);
         true
     }
 
@@ -489,8 +546,9 @@ impl Reactor {
                 continue; // connection died while the handler ran
             };
             debug_assert_eq!(conn.state, ConnState::Dispatched);
-            self.active = self.active.saturating_sub(1);
-            self.queue_write(completion.slot, completion.bytes, completion.close_after);
+            if self.queue_write(completion.slot, completion.bytes, completion.close_after) {
+                self.advance_parse(completion.slot);
+            }
         }
     }
 
@@ -543,7 +601,7 @@ impl Reactor {
     fn close_conn(&mut self, slot: u32) {
         if let Some(conn) = self.slab.remove(slot) {
             if conn.state != ConnState::Reading {
-                self.active = self.active.saturating_sub(1);
+                self.active -= 1;
             }
             let _ = sysio::epoll_del(self.epfd, stream_fd(&conn.stream));
             // Dropping the stream closes the fd.
@@ -590,4 +648,53 @@ impl Reactor {
 /// Current generation of a live slot (used when re-deriving a token).
 fn current_gen(slab: &Slab, slot: u32) -> u32 {
     slab.gen_of(slot)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpStream;
+
+    #[test]
+    fn inline_panic_falls_back_to_dispatch() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener
+            .set_nonblocking(true)
+            .expect("nonblocking listener");
+        let addr = listener.local_addr().expect("bound address");
+        let route: RouteFn = Arc::new(|_: &Request| Response::json(200, "{\"via\": \"dispatch\"}"));
+        let inline: InlineFn = Arc::new(|_: &Request| panic!("inline handler bug"));
+        let stop = Arc::new(AtomicBool::new(false));
+        let reactor = spawn(
+            listener,
+            Service {
+                route,
+                inline: Some(inline),
+            },
+            Arc::clone(&stop),
+            Arc::new(DrainControl::new()),
+            Arc::new(|| true),
+            Arc::new(ReactorStats::new()),
+            ReactorConfig {
+                max_conns: 8,
+                idle_timeout: Duration::from_secs(10),
+                dispatchers: 1,
+                dispatch_cap: 4,
+            },
+        )
+        .expect("reactor spawns");
+        // Twice: the loop thread must survive the first panic.
+        for _ in 0..2 {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .write_all(b"GET /x HTTP/1.1\r\nconnection: close\r\n\r\n")
+                .expect("write request");
+            let mut out = String::new();
+            stream.read_to_string(&mut out).expect("read response");
+            assert!(out.starts_with("HTTP/1.1 200 OK"), "got: {out}");
+            assert!(out.ends_with("{\"via\": \"dispatch\"}"), "got: {out}");
+        }
+        stop.store(true, Ordering::SeqCst);
+        reactor.join().expect("reactor thread exits cleanly");
+    }
 }

@@ -7,6 +7,9 @@
 //! `/v1/*` and `/v2/*` dispatch to the same handlers; the
 //! [`ApiVersion`] argument selects the response dialect (bare v1
 //! document vs. the v2 `{"v": 2, "data": ...}` envelope).
+//!
+//! [`route_resident`] is the reactor thread's subset: the requests it
+//! can answer without blocking, under the same labels as [`route`].
 
 use std::sync::Arc;
 
@@ -14,6 +17,24 @@ use crate::api::ApiVersion;
 use crate::handlers;
 use crate::http::{Request, Response};
 use crate::server::AppState;
+
+/// Answers a request on the reactor thread when that cannot block: a
+/// simulate whose trace is resident in memory. `None` means "dispatch
+/// it through [`route`]".
+pub fn route_resident(state: &AppState, req: &Request) -> Option<(&'static str, Response)> {
+    use ApiVersion::{V1, V2};
+    match (req.method.as_str(), req.path.as_str()) {
+        ("POST", "/v1/simulate") => Some((
+            "POST /v1/simulate",
+            handlers::simulate_resident(state, &req.body, V1)?,
+        )),
+        ("POST", "/v2/simulate") => Some((
+            "POST /v2/simulate",
+            handlers::simulate_resident(state, &req.body, V2)?,
+        )),
+        _ => None,
+    }
+}
 
 /// Dispatches one request. Returns the normalized route label (for
 /// metrics) and the response.

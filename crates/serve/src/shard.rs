@@ -57,11 +57,9 @@ use crate::api::{
     ShardDoc, TopologyChangeResponse, TopologyDoc,
 };
 use crate::http::{read_response, write_request, Request, Response};
-use crate::metrics::{
-    merge_snapshots, MetricsSnapshot, QueueGauges, ReactorSnapshot, ServerMetrics,
-};
-use crate::reactor::{self, ReactorStats};
-use crate::server::{spawn_accept_loop, DrainControl, Engine, RouteFn};
+use crate::metrics::{merge_snapshots, MetricsSnapshot, QueueGauges, ServerMetrics};
+use crate::reactor::{self, ReactorStats, Service};
+use crate::server::{DrainControl, RouteFn, ENGINE};
 
 /// Virtual nodes per unit of shard weight on the hash ring. More vnodes
 /// smooth the key distribution and shrink the fraction of keys that
@@ -515,10 +513,8 @@ pub struct RouterState {
     last_moved_bits: AtomicU64,
     record: Option<Mutex<std::fs::File>>,
     started: Instant,
-    /// Which engine the router's own listener runs.
-    engine: Engine,
-    /// Reactor counters when the router rides the reactor engine.
-    reactor: Option<Arc<ReactorStats>>,
+    /// The router listener's reactor counters.
+    reactor: Arc<ReactorStats>,
     /// Graceful-drain coordination for the router's own listener
     /// (`POST /v2/admin/drain` on the router).
     drain: Arc<DrainControl>,
@@ -624,15 +620,13 @@ pub struct RouterConfig {
     pub vnodes: usize,
     /// Optional JSONL request log (`loadgen --replay` input).
     pub record: Option<PathBuf>,
-    /// Which serve core drives the router's own listener.
-    pub engine: Engine,
     /// Whether `/v2/admin` topology *mutations* are accepted. Off by
     /// default: an exposed router must opt into runtime resharding.
     pub allow_admin: bool,
 }
 
 /// A running router; dropping it (or [`RouterHandle::shutdown`]) stops
-/// the accept loop and the health checker. Shard processes are owned by
+/// the reactor and the health checker. Shard processes are owned by
 /// the caller (see [`spawn_shards`]), not by this handle.
 #[derive(Debug)]
 pub struct RouterHandle {
@@ -722,10 +716,7 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
-    let reactor_stats = match config.engine {
-        Engine::Reactor => Some(Arc::new(ReactorStats::new())),
-        Engine::Threaded => None,
-    };
+    let reactor_stats = Arc::new(ReactorStats::new());
     let slots: Vec<Arc<ShardSlot>> = config
         .shards
         .iter()
@@ -748,8 +739,7 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
         last_moved_bits: AtomicU64::new(0.0f64.to_bits()),
         record,
         started: Instant::now(),
-        engine: config.engine,
-        reactor: reactor_stats.clone(),
+        reactor: Arc::clone(&reactor_stats),
         drain: Arc::clone(&drain),
     });
     let stop = Arc::new(AtomicBool::new(false));
@@ -770,31 +760,26 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
     // The router has no admission pool of its own; a drain only has
     // connections to wait for.
     let drain_idle: Arc<dyn Fn() -> bool + Send + Sync> = Arc::new(|| true);
-    let accept = match config.engine {
-        Engine::Reactor => reactor::spawn(
-            listener,
+    // The router answers nothing inline: every route proxies to a shard.
+    let accept = reactor::spawn(
+        listener,
+        Service {
             route,
-            Arc::clone(&stop),
-            Arc::clone(&drain),
-            drain_idle,
-            reactor_stats.expect("reactor stats exist for reactor engine"),
-            reactor::ReactorConfig {
-                max_conns: 12288,
-                idle_timeout: Duration::from_millis(30_000),
-                // Proxying blocks on shard round-trips, not the CPU, so
-                // the router gets a deeper dispatcher pool than a shard.
-                dispatchers: 16,
-                dispatch_cap: 1024,
-            },
-        )?,
-        Engine::Threaded => spawn_accept_loop(
-            listener,
-            Arc::clone(&stop),
-            route,
-            Arc::clone(&drain),
-            drain_idle,
-        ),
-    };
+            inline: None,
+        },
+        Arc::clone(&stop),
+        Arc::clone(&drain),
+        drain_idle,
+        reactor_stats,
+        reactor::ReactorConfig {
+            max_conns: 12288,
+            idle_timeout: Duration::from_millis(30_000),
+            // Proxying blocks on shard round-trips, not the CPU, so the
+            // router gets a deeper dispatcher pool than a shard.
+            dispatchers: 16,
+            dispatch_cap: 1024,
+        },
+    )?;
     let health = {
         let state = Arc::clone(&state);
         let stop = Arc::clone(&stop);
@@ -1043,7 +1028,7 @@ fn router_drain(state: &RouterState) -> Response {
     let doc = DrainStatusDoc {
         draining: true,
         already_requested: already,
-        engine: state.engine.as_str().to_string(),
+        engine: ENGINE.to_string(),
     };
     admin_ok(&serde_json::to_string(&doc).expect("drain status serializes"))
 }
@@ -1427,10 +1412,6 @@ fn router_metrics(state: &RouterState) -> Response {
     let merged_doc = merge_snapshots(&snaps)
         .map(|m| serde_json::to_string(&m).expect("merged snapshot serializes"))
         .unwrap_or_else(|| "null".to_string());
-    let own_reactor = match &state.reactor {
-        Some(stats) => stats.snapshot(state.engine.as_str()),
-        None => ReactorSnapshot::threaded(),
-    };
     let mut own = state.metrics.snapshot(
         QueueGauges {
             queue_depth: 0,
@@ -1440,7 +1421,7 @@ fn router_metrics(state: &RouterState) -> Response {
         },
         sparseadapt::trace_cache::CacheStats::default(),
         sparseadapt::epoch_cache::EpochCacheStats::default(),
-        own_reactor,
+        state.reactor.snapshot(),
     );
     own.topology_epoch = view.epoch;
     let own_doc = serde_json::to_string(&own).expect("router snapshot serializes");
@@ -1483,8 +1464,6 @@ pub struct ShardSpawn {
     pub cache_mem_cap: Option<usize>,
     /// Directory for the address rendezvous files.
     pub run_dir: PathBuf,
-    /// Serve engine each shard daemon runs.
-    pub engine: Engine,
     /// Enable the per-shard epoch cache (memory tier) on every shard.
     pub epoch_cache: bool,
     /// Enable shard-to-shard epoch fetch-on-miss on every shard.
@@ -1546,10 +1525,6 @@ pub fn spawn_shards(spawn: &ShardSpawn) -> io::Result<Vec<ShardChild>> {
             .arg(spawn.workers.to_string())
             .arg("--queue-cap")
             .arg(spawn.queue_cap.to_string())
-            .arg(match spawn.engine {
-                Engine::Reactor => "--reactor",
-                Engine::Threaded => "--threaded",
-            })
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::null());
         if let Some(dir) = &spawn.cache_dir {

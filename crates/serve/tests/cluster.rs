@@ -86,7 +86,6 @@ fn cluster_end_to_end() {
         queue_cap: 32,
         cache_dir: Some(cache_dir.clone()),
         cache_mem_cap: None,
-        engine: serve::Engine::Reactor,
         epoch_cache: false,
         epoch_peer_fetch: false,
         epoch_fetch_budget_ms: 25,
@@ -101,7 +100,6 @@ fn cluster_end_to_end() {
         weights: Vec::new(),
         vnodes: 0,
         record: Some(record_path.clone()),
-        engine: serve::Engine::Reactor,
         allow_admin: false,
     })
     .expect("router boots");

@@ -122,7 +122,6 @@ fn epoch_tier_cluster_end_to_end() {
             queue_cap: 32,
             cache_dir: None,
             cache_mem_cap: None,
-            engine: serve::Engine::Reactor,
             epoch_cache: true,
             epoch_peer_fetch: peer_fetch,
             epoch_fetch_budget_ms: budget_ms,

@@ -1,24 +1,31 @@
-//! Adversarial-client and engine-parity tests for the reactor serve
-//! core: slow clients, oversized heads, mid-body disconnects,
-//! connection-cap shedding, graceful drain, and byte-level response
-//! parity between `--reactor` and `--threaded`.
+//! Adversarial-client and parity tests for the reactor serve core:
+//! slow clients, oversized heads, mid-body disconnects, connection-cap
+//! shedding, graceful drain, pipelining, and byte-level parity between
+//! what the reactor puts on the wire and what the in-process route
+//! table renders.
 //!
 //! Each test boots its own server on an ephemeral port. The trace
-//! cache is process-wide, so only the parity test simulates (and warms
-//! its matrix first); every other test sticks to cache-free endpoints.
+//! cache is process-wide, so the tests that simulate hold
+//! [`SIM_LOCK`] (the parity test clears the cache); every other test
+//! sticks to cache-free endpoints.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use serve::{start, Engine, ServeConfig};
+use serve::http::{response_bytes, Parsed, RequestParser, ResponseParser};
+use serve::{start, ServeConfig};
+use sparseadapt::trace_cache::TraceCache;
 
-fn config(engine: Engine) -> ServeConfig {
+/// Serializes the tests that touch the process-wide trace cache.
+static SIM_LOCK: Mutex<()> = Mutex::new(());
+
+fn config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         queue_cap: 16,
-        engine,
         ..ServeConfig::default()
     }
 }
@@ -93,7 +100,7 @@ fn metric_u64(doc: &serde::Value, path: &[&str]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Engine parity
+// Wire parity and pipelining
 // ---------------------------------------------------------------------------
 
 /// Zeroes every occurrence of a numeric JSON field so wall-clock noise
@@ -121,49 +128,81 @@ fn normalize(raw: &[u8]) -> String {
     zero_field(&text, "content-length: ")
 }
 
+/// The bytes the in-process route table renders for `wire` — the
+/// dispatched path, with no socket and no reactor involved.
+fn in_process(server: &serve::ServerHandle, wire: &[u8]) -> Vec<u8> {
+    let mut parser = RequestParser::new();
+    parser.feed(wire);
+    let Parsed::Request(req) = parser.next_request() else {
+        panic!("test request does not parse");
+    };
+    let (_, resp) = serve::router::route(&server.state, &req);
+    response_bytes(&resp, req.keep_alive())
+}
+
 #[test]
-fn engines_serve_byte_identical_responses() {
-    let reactor = start(config(Engine::Reactor)).expect("reactor boots");
-    let threaded = start(config(Engine::Threaded)).expect("threaded boots");
+fn reactor_wire_bytes_match_in_process_route() {
+    let _sim = SIM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let server = start(config()).expect("server boots");
+    let sim = r#"{"kernel": "spmspv", "matrix": "R10", "config_name": "maximum"}"#;
+    let wire = close_request("POST", "/v2/simulate", sim);
 
-    // Warm the (process-wide) trace cache on both so the comparison
-    // pass sees identical `cached` flags.
-    let sim = r#"{"kernel": "spmspv", "matrix": "R09", "config_name": "baseline"}"#;
-    for server in [&reactor, &threaded] {
-        let warm = raw_roundtrip(&server.addr, &close_request("POST", "/v1/simulate", sim));
-        assert_eq!(status_of(&warm), 200, "warm pass failed");
-    }
+    // A cold key: the reactor dispatches it and the pool simulates.
+    TraceCache::global().clear();
+    let dispatched = raw_roundtrip(&server.addr, &wire);
+    assert!(
+        String::from_utf8_lossy(&dispatched).contains("\"cached\":false"),
+        "cold request must simulate: {}",
+        String::from_utf8_lossy(&dispatched)
+    );
+    // Forget the trace so the in-process call takes the same miss.
+    TraceCache::global().clear();
+    assert_eq!(
+        normalize(&dispatched),
+        normalize(&in_process(&server, &wire)),
+        "dispatched miss differs from the in-process route"
+    );
 
-    let typo = r#"{"kernel": "spmspv", "matrix": "R09", "confg_name": "maximum"}"#;
-    let traffic: &[(&str, &str, &str)] = &[
-        ("GET", "/healthz", ""),
-        ("GET", "/nope", ""),
-        ("POST", "/healthz", "{}"),
-        ("POST", "/v1/simulate", "not json"),
-        ("POST", "/v2/simulate", "not json"),
-        ("POST", "/v1/simulate", sim),
-        ("POST", "/v2/simulate", sim),
-        ("POST", "/v2/simulate", typo),
-        ("GET", "/v1/jobs", ""),
-        ("GET", "/v2/jobs/999999", ""),
-    ];
-    for (method, target, body) in traffic {
-        let wire = close_request(method, target, body);
-        let from_reactor = normalize(&raw_roundtrip(&reactor.addr, &wire));
-        let from_threaded = normalize(&raw_roundtrip(&threaded.addr, &wire));
-        assert_eq!(
-            from_reactor, from_threaded,
-            "engines diverged on {method} {target}"
-        );
-    }
-
-    reactor.shutdown();
-    threaded.shutdown();
+    // Now resident: the reactor answers on its own thread, without the
+    // coalescer (which every dispatched simulate passes through).
+    let led_before = server.state.coalescer.led_total();
+    let inline = raw_roundtrip(&server.addr, &wire);
+    assert_eq!(
+        server.state.coalescer.led_total(),
+        led_before,
+        "a resident hit must be answered inline"
+    );
+    assert!(String::from_utf8_lossy(&inline).contains("\"cached\":true"));
+    assert_eq!(
+        normalize(&inline),
+        normalize(&in_process(&server, &wire)),
+        "inline hit differs from the dispatched route"
+    );
+    // Both dialects of the inline answer, and an error the inline path
+    // declines, match too.
+    let v1 = close_request("POST", "/v1/simulate", sim);
+    assert_eq!(
+        normalize(&raw_roundtrip(&server.addr, &v1)),
+        normalize(&in_process(&server, &v1))
+    );
+    let typo = close_request(
+        "POST",
+        "/v2/simulate",
+        r#"{"kernel": "spmspv", "matrix": "R10", "confg_name": "maximum"}"#,
+    );
+    let typo_wire = raw_roundtrip(&server.addr, &typo);
+    assert_eq!(status_of(&typo_wire), 400);
+    assert_eq!(
+        normalize(&typo_wire),
+        normalize(&in_process(&server, &typo))
+    );
+    server.shutdown();
 }
 
 #[test]
 fn reactor_serves_pipelined_requests_in_order() {
-    let server = start(config(Engine::Reactor)).expect("server boots");
+    let _sim = SIM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let server = start(config()).expect("server boots");
     let mut stream = TcpStream::connect(&server.addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -180,6 +219,77 @@ fn reactor_serves_pipelined_requests_in_order() {
     let first = text.find("HTTP/1.1 200 OK").expect("healthz answered");
     let second = text.find("HTTP/1.1 404").expect("404 answered");
     assert!(first < second, "responses out of order: {text}");
+
+    // One write of thousands of resident hits, answered inline one after
+    // another: the reactor must serve them by looping, not recursing.
+    // A cold simulate leads the burst, so the hits pile up in the parser
+    // while it runs and are all served when its response flushes.
+    // Dialects alternate so a reordered response would show.
+    const HITS: usize = 5000;
+    let sim = r#"{"kernel": "spmspv", "matrix": "R09", "config_name": "baseline"}"#;
+    let warm = raw_roundtrip(&server.addr, &close_request("POST", "/v1/simulate", sim));
+    assert_eq!(status_of(&warm), 200, "warm-up failed");
+    let cold = r#"{"kernel": "spmspv", "matrix": "R12", "config_name": "maximum"}"#;
+    let mut burst = format!(
+        "POST /v2/simulate HTTP/1.1\r\ncontent-length: {}\r\n\r\n{cold}",
+        cold.len()
+    )
+    .into_bytes();
+    for i in 0..HITS {
+        let target = if i % 2 == 0 {
+            "/v1/simulate"
+        } else {
+            "/v2/simulate"
+        };
+        burst.extend_from_slice(
+            format!(
+                "POST {target} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{sim}",
+                sim.len()
+            )
+            .as_bytes(),
+        );
+    }
+    burst.extend_from_slice(&close_request("GET", "/nope", ""));
+    let stream = TcpStream::connect(&server.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    // Write from a second thread: the burst outgrows the socket buffers,
+    // so reading only after the write could deadlock both ends.
+    let mut writer = stream.try_clone().expect("clone stream");
+    let sender = std::thread::spawn(move || writer.write_all(&burst).expect("write burst"));
+    let mut out = Vec::new();
+    (&stream)
+        .read_to_end(&mut out)
+        .expect("read burst responses");
+    sender.join().expect("writer thread");
+    let mut parser = ResponseParser::new();
+    parser.feed(&out);
+    let mut responses = Vec::new();
+    while let Some(resp) = parser.next_response().expect("well-formed responses") {
+        responses.push(resp);
+    }
+    assert_eq!(
+        responses.len(),
+        HITS + 2,
+        "every pipelined request answered"
+    );
+    let (head, rest) = responses.split_first().expect("responses");
+    assert!(
+        String::from_utf8_lossy(&head.body).contains("\"cached\":false"),
+        "the cold simulate is answered first"
+    );
+    for (i, resp) in rest[..HITS].iter().enumerate() {
+        let body = String::from_utf8_lossy(&resp.body);
+        assert_eq!(resp.status, 200, "response {i}: {body}");
+        assert_eq!(
+            body.starts_with("{\"v\": 2"),
+            i % 2 == 1,
+            "response {i} out of order"
+        );
+        assert!(body.contains("\"cached\":true"), "response {i}: {body}");
+    }
+    assert_eq!(rest[HITS].status, 404, "the closing request comes last");
     server.shutdown();
 }
 
@@ -189,7 +299,7 @@ fn reactor_serves_pipelined_requests_in_order() {
 
 #[test]
 fn slowloris_connection_hits_idle_timeout() {
-    let mut cfg = config(Engine::Reactor);
+    let mut cfg = config();
     cfg.idle_timeout_ms = 250;
     let server = start(cfg).expect("server boots");
 
@@ -219,7 +329,7 @@ fn slowloris_connection_hits_idle_timeout() {
 
 #[test]
 fn oversized_request_line_gets_431() {
-    let server = start(config(Engine::Reactor)).expect("server boots");
+    let server = start(config()).expect("server boots");
     // More than MAX_HEAD_BYTES with no terminator: the parser must give
     // up with 431, not buffer forever.
     let raw = vec![b'A'; serve::http::MAX_HEAD_BYTES + 1024];
@@ -235,7 +345,7 @@ fn oversized_request_line_gets_431() {
 
 #[test]
 fn mid_body_disconnect_leaves_server_healthy() {
-    let server = start(config(Engine::Reactor)).expect("server boots");
+    let server = start(config()).expect("server boots");
     for _ in 0..4 {
         let mut stream = TcpStream::connect(&server.addr).expect("connect");
         stream
@@ -253,7 +363,7 @@ fn mid_body_disconnect_leaves_server_healthy() {
 
 #[test]
 fn connection_cap_overflow_sheds_503() {
-    let mut cfg = config(Engine::Reactor);
+    let mut cfg = config();
     cfg.max_conns = 2;
     let server = start(cfg).expect("server boots");
 
@@ -311,7 +421,7 @@ fn connection_cap_overflow_sheds_503() {
 
 #[test]
 fn reactor_metrics_report_engine_and_gauges() {
-    let server = start(config(Engine::Reactor)).expect("server boots");
+    let server = start(config()).expect("server boots");
     let health = raw_roundtrip(&server.addr, &close_request("GET", "/healthz", ""));
     assert_eq!(status_of(&health), 200);
     let doc = metrics_doc(&server.addr);
@@ -328,8 +438,9 @@ fn reactor_metrics_report_engine_and_gauges() {
 // Graceful drain
 // ---------------------------------------------------------------------------
 
-fn drain_roundtrip(engine: Engine) {
-    let server = start(config(engine)).expect("server boots");
+#[test]
+fn drain_endpoint_stops_reactor_engine() {
+    let server = start(config()).expect("server boots");
     let addr = server.addr;
     let resp = raw_roundtrip(&addr, &close_request("POST", "/v2/admin/drain", ""));
     assert_eq!(
@@ -338,6 +449,7 @@ fn drain_roundtrip(engine: Engine) {
         "got: {}",
         String::from_utf8_lossy(&resp)
     );
+    assert!(String::from_utf8_lossy(&resp).contains("\"engine\":\"reactor\""));
     assert!(
         server.state.drain.wait_completed(Duration::from_secs(30)),
         "drain never completed"
@@ -347,14 +459,4 @@ fn drain_roundtrip(engine: Engine) {
         TcpStream::connect(addr).is_err(),
         "drained server still accepting"
     );
-}
-
-#[test]
-fn drain_endpoint_stops_reactor_engine() {
-    drain_roundtrip(Engine::Reactor);
-}
-
-#[test]
-fn drain_endpoint_stops_threaded_engine() {
-    drain_roundtrip(Engine::Threaded);
 }

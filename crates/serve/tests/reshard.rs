@@ -173,7 +173,6 @@ fn elastic_cluster_end_to_end() {
             queue_cap: 64,
             cache_dir: Some(cache_dir.clone()),
             cache_mem_cap: None,
-            engine: serve::Engine::Reactor,
             epoch_cache: false,
             epoch_peer_fetch: false,
             epoch_fetch_budget_ms: 25,
@@ -191,7 +190,6 @@ fn elastic_cluster_end_to_end() {
         queue_cap: 64,
         cache_dir: Some(cache_dir.clone()),
         cache_mem_cap: None,
-        engine: serve::Engine::Reactor,
         epoch_cache: false,
         epoch_peer_fetch: false,
         epoch_fetch_budget_ms: 25,
@@ -206,7 +204,6 @@ fn elastic_cluster_end_to_end() {
         weights: vec![1.0, 1.0, 2.0],
         vnodes: 0,
         record: None,
-        engine: serve::Engine::Reactor,
         allow_admin: true,
     })
     .expect("router boots");
@@ -266,7 +263,6 @@ fn elastic_cluster_end_to_end() {
         weights: vec![1.0, 1.0, 2.0],
         vnodes: 0,
         record: None,
-        engine: serve::Engine::Reactor,
         allow_admin: false,
     })
     .expect("read-only router boots");

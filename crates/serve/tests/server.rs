@@ -470,10 +470,14 @@ fn daemon_end_to_end() {
     server.shutdown();
 
     // -- admission control: tiny pool, concurrent distinct requests ----
+    // The disk tier is on so the overload checks below can hold a trace
+    // on disk but not in memory.
+    let cache_dir = std::env::temp_dir().join(format!("sa-serve-e2e-{}", std::process::id()));
     let small = start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
         queue_cap: 1,
+        cache_dir: Some(cache_dir.clone()),
         ..ServeConfig::default()
     })
     .expect("second server boots");
@@ -524,5 +528,79 @@ fn daemon_end_to_end() {
         "429 responses must carry the structured queue_full error: {rejected:?}"
     );
     assert!(small.state.metrics.rejected_429_total() >= 1);
+
+    // -- overload: resident hits skip the saturated pool ---------------
+    let hit_body = r#"{"kernel": "spmspv", "matrix": "R09", "config_name": "baseline"}"#;
+    let disk_body = r#"{"kernel": "spmv", "matrix": "R09", "config_name": "maximum"}"#;
+    let cold_body = r#"{"kernel": "spmv", "matrix": "R10", "config_name": "maximum"}"#;
+    // Simulated once (so written to disk), then dropped from memory.
+    assert_eq!(post(&small_addr, "/v1/simulate", disk_body).status, 200);
+    sparseadapt::trace_cache::TraceCache::global().clear();
+    for _ in 0..2 {
+        assert_eq!(post(&small_addr, "/v1/simulate", hit_body).status, 200);
+    }
+    // Occupy the only worker, then the only queue slot. The last
+    // request's job may still be winding down, so wait for the pool to
+    // settle first.
+    let pool = &small.state.pool;
+    let settle = |busy: usize, queued: usize| {
+        while (pool.in_flight(), pool.queue_depth()) != (busy, queued) {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+    };
+    let (release, gate) = std::sync::mpsc::channel::<()>();
+    let gate = std::sync::Arc::new(std::sync::Mutex::new(gate));
+    settle(0, 0);
+    for queued in 0..2 {
+        let gate = std::sync::Arc::clone(&gate);
+        pool.try_submit(move || {
+            let _ = gate.lock().unwrap().recv();
+        })
+        .expect("pool has room for the gate job");
+        settle(1, queued);
+    }
+    assert_eq!(
+        small.state.pool.queue_depth(),
+        small.state.pool.queue_cap(),
+        "admission queue is full"
+    );
+    assert_eq!(post(&small_addr, "/v1/simulate", cold_body).status, 429);
+    let before = parse(&get(&small_addr, "/metrics"));
+    let hit = post(&small_addr, "/v2/simulate", hit_body);
+    assert_eq!(
+        hit.status,
+        200,
+        "resident hit under overload: {}",
+        body_str(&hit)
+    );
+    assert_eq!(
+        field(&parse(&hit), &["data", "cached"]),
+        Some(serde::Value::Bool(true))
+    );
+    let after = parse(&get(&small_addr, "/metrics"));
+    let count = |m: &serde::Value, path: &[&str]| field(m, path).as_ref().map_or(0, as_u64);
+    assert!(
+        count(&after, &["trace_cache", "hits"]) > count(&before, &["trace_cache", "hits"]),
+        "the inline hit counts as a trace-cache hit"
+    );
+    let route = ["requests_by_route", "POST /v2/simulate 200"];
+    assert_eq!(
+        count(&after, &route),
+        count(&before, &route) + 1,
+        "the inline hit is recorded under the dispatched path's route label"
+    );
+    // A disk-tier hit needs a pool worker to read the file: still 429.
+    assert_eq!(post(&small_addr, "/v1/simulate", disk_body).status, 429);
+    drop(release);
+    settle(0, 0);
+    let disk_hit = post(&small_addr, "/v1/simulate", disk_body);
+    assert_eq!(disk_hit.status, 200);
+    assert_eq!(
+        field(&parse(&disk_hit), &["cached"]),
+        Some(serde::Value::Bool(true))
+    );
+    let m = parse(&get(&small_addr, "/metrics"));
+    assert!(count(&m, &["trace_cache", "disk_hits"]) >= 1);
     small.shutdown();
+    let _ = std::fs::remove_dir_all(cache_dir);
 }
